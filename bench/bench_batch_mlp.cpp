@@ -20,13 +20,6 @@
 // increment of one shared atomic vs the striped counter the tables now use,
 // across PHCH_THREADS workers.
 //
-// Also measures the tag-sidecar group scans (core/tag_array.h +
-// core/simd_scan.h): find ns/op with tags off vs SWAR vs the widest vector
-// backend, scalar and pipelined, hit and miss keys, per load — plus the
-// fingerprint false-positive rate from telemetry when compiled in. The
-// legacy sections run with tags forced off so their numbers keep meaning
-// across revisions.
-//
 // Writes machine-readable results to BENCH_batch.json (or argv[1]).
 #include <cstdio>
 #include <optional>
@@ -34,13 +27,11 @@
 
 #include "bench_common.h"
 #include "phch/core/batch_ops.h"
-#include "phch/core/simd_scan.h"
 #include "phch/core/chained_table.h"
 #include "phch/core/cuckoo_table.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/growable_table.h"
 #include "phch/core/hopscotch_table.h"
-#include "phch/core/nd_linear_table.h"
 #include "phch/core/table_stats.h"
 #include "phch/core/tombstone_table.h"
 #include "phch/obs/export.h"
@@ -92,9 +83,6 @@ double med(std::vector<double> v) {
 
 int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_batch.json";
-  // Tags off for the legacy sections (the scalar loops dispatch on the
-  // active backend); the tags section below sweeps backends explicitly.
-  simd::set_backend(simd::backend::off);
   const std::size_t cap = round_up_pow2(scaled_size(std::size_t{1} << 23));
   const std::size_t qbatch = std::min(cap / 8, scaled_size(std::size_t{1} << 20));
   const std::size_t width = batch_width();
@@ -184,115 +172,6 @@ int main(int argc, char** argv) {
                 pt.insert.pipelined, pt.erase.scalar, pt.erase.prefetch,
                 pt.erase.pipelined);
     points.push_back(pt);
-  }
-
-  // --- tag sidecar: group-scanned probing vs full-slot probing -------------
-  //
-  // Same keys, three probing modes: tags off (the untagged loops above),
-  // SWAR-on-uint64 groups of 8, and the widest vector backend this machine
-  // has (32 tags per AVX2 scan). Measured on linearHash-ND (arrival
-  // order), the policy the sidecar targets: its untagged miss must walk
-  // every slot line to the first empty, while a tagged miss resolves from
-  // tag groups alone (64 tags per line vs 8 int slots) and touches a slot
-  // only on a fingerprint collision (p ≈ 1/128 per compared tag). Hits
-  // answer "does confirming candidates cost more than it saves". The
-  // prioritized table is deliberately not the subject here: ordered
-  // probing already short-circuits misses with a priority comparison — a
-  // predicate a fingerprint cannot evaluate — so its untagged loops are
-  // the right default at DRAM scale (see DESIGN.md §12).
-  struct tag_mode {
-    const char* name;
-    simd::backend b;
-    double hit_scalar, miss_scalar, hit_pipe, miss_pipe;
-  };
-  struct tag_point {
-    double load;
-    std::vector<tag_mode> modes;
-  };
-  std::vector<tag_point> tag_points;
-  double tag_fp_rate = -1.0;  // candidates that failed slot confirmation
-  {
-    std::vector<std::pair<const char*, simd::backend>> modes{
-        {"off", simd::backend::off}, {"swar", simd::backend::swar}};
-    if (simd::best() != simd::backend::swar) {
-      modes.emplace_back(simd::backend_name(simd::best()), simd::best());
-    }
-
-    using nd_t = nd_linear_table<int_entry<>>;
-    std::printf("\ntag sidecar find (linearHash-ND, capacity %zu, batch %zu), "
-                "one worker:\n",
-                cap, qbatch);
-    std::printf("  %5s | %10s | %17s | %17s\n", "", "", "scalar ns/op",
-                "pipelined ns/op");
-    std::printf("  %5s | %10s | %8s %8s | %8s %8s\n", "load", "backend", "hit",
-                "miss", "hit", "miss");
-
-    const bool tele_was = obs::enabled();
-    if (obs::compiled) obs::set_enabled(true);
-    const auto fp_base = obs::snapshot();
-
-    for (const double load : {0.25, 0.5, 0.75, 0.9}) {
-      tag_point tp;
-      tp.load = load;
-      const std::size_t fill =
-          static_cast<std::size_t>(load * static_cast<double>(cap));
-      nd_t t(cap);
-      simd::set_backend(simd::backend::off);  // identical build layout per mode
-      parallel_for(0, fill, [&](std::size_t i) { t.insert(pool[i]); });
-      const auto hkeys = tabulate(qbatch, [&](std::size_t i) {
-        return pool[hash64(i ^ 0x94d049bb133111ebULL) % fill];
-      });
-      // Absent keys: beyond the pool range, so every lookup runs to an
-      // empty slot (or an empty tag group) before giving up.
-      const auto mkeys = tabulate(
-          qbatch, [&](std::size_t i) { return std::uint64_t{cap + 1 + i}; });
-      std::vector<std::uint64_t> out(qbatch);
-      const double per_q = 1e9 / static_cast<double>(qbatch);
-
-      for (const auto& [name, b] : modes) {
-        simd::set_backend(b);
-        tag_mode m{name, b, 0, 0, 0, 0};
-        m.hit_scalar =
-            per_q * time_median([] {}, [&] { find_serial(t, hkeys, out); });
-        m.miss_scalar =
-            per_q * time_median([] {}, [&] { find_serial(t, mkeys, out); });
-        auto pipe = [&](const std::vector<std::uint64_t>& keys) {
-          return per_q * time_median([] {}, [&] {
-                   if (b == simd::backend::off) {
-                     batch_detail::find_block_pipelined(t, keys.data(), qbatch,
-                                                        out.data(), width);
-                   } else {
-                     batch_detail::find_block_tagged(t, keys.data(), qbatch,
-                                                     out.data(), width, b);
-                   }
-                 });
-        };
-        m.hit_pipe = pipe(hkeys);
-        m.miss_pipe = pipe(mkeys);
-        std::printf("  %5.2f | %10s | %8.1f %8.1f | %8.1f %8.1f\n", load, name,
-                    m.hit_scalar, m.miss_scalar, m.hit_pipe, m.miss_pipe);
-        tp.modes.push_back(m);
-      }
-      tag_points.push_back(tp);
-    }
-    simd::set_backend(simd::backend::off);
-
-    const auto fp_delta = obs::snapshot() - fp_base;
-    if (fp_delta[obs::counter::tag_candidates] != 0) {
-      tag_fp_rate =
-          static_cast<double>(fp_delta[obs::counter::tag_false_positives]) /
-          static_cast<double>(fp_delta[obs::counter::tag_candidates]);
-      std::printf("  fingerprint false-positive rate: %.4f%% "
-                  "(%llu of %llu candidates)\n",
-                  100.0 * tag_fp_rate,
-                  static_cast<unsigned long long>(
-                      fp_delta[obs::counter::tag_false_positives]),
-                  static_cast<unsigned long long>(
-                      fp_delta[obs::counter::tag_candidates]));
-    }
-    if (obs::compiled) obs::set_enabled(tele_was);
-    std::printf("  (shape: at load 0.75, vector find >= 1.5x off and swar >= "
-                "1.1x off on misses)\n");
   }
 
   // --- tombstone table through the same engine -----------------------------
@@ -589,25 +468,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"tags\": {\"table\": \"nd_linear\", "
-               "\"simd_backend\": \"%s\", \"fp_rate\": %.6f,\n"
-               "    \"loads\": [\n",
-               simd::backend_name(simd::best()), tag_fp_rate);
-  for (std::size_t i = 0; i < tag_points.size(); ++i) {
-    const auto& tp = tag_points[i];
-    std::fprintf(f, "    {\"load\": %.2f, \"modes\": [\n", tp.load);
-    for (std::size_t j = 0; j < tp.modes.size(); ++j) {
-      const auto& m = tp.modes[j];
-      std::fprintf(f,
-                   "      {\"backend\": \"%s\", "
-                   "\"find_hit\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f}, "
-                   "\"find_miss\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f}}%s\n",
-                   m.name, m.hit_scalar, m.hit_pipe, m.miss_scalar, m.miss_pipe,
-                   j + 1 < tp.modes.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]}%s\n", i + 1 < tag_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
   std::fprintf(f,
                "  \"tombstone\": {\"capacity\": %zu, \"load\": 0.5,\n"
                "    \"find\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f},\n"

@@ -38,33 +38,14 @@
 // for free. Layouts are bit-identical to the pre-engine tables: the loops
 // below are the same control flow, merely parameterized.
 //
-// Tag sidecar (core/tag_array.h + core/simd_scan.h). Alongside the slots
-// the engine keeps one fingerprint byte per slot, published with a relaxed
-// store after each slot CAS commits. When the active SIMD backend is on,
-// the scalar probe loops scan whole groups of tags and touch only candidate
-// slots; every candidate is confirmed against the slot array, so layouts
-// and results are unchanged. What each operation may soundly conclude from
-// a (possibly stale) tag depends on the phase's slot transitions:
-//
-//   find   (query phase)    the table is quiescent, tags are exact: probe
-//                           candidates below the first empty, all policies.
-//   erase  (delete phase)   tombstone: slots only go live -> tombstone, an
-//                           empty tag proves absence; candidates confirm.
-//                           backshift: a mid-move copy can sit under a
-//                           stale tag, so tags never prove absence — a
-//                           confirmed candidate (or the first empty) only
-//                           picks the start of the full-slot downward scan.
-//   insert (insert phase)   arrival order only: stale tags err toward
-//                           "empty", which merely stops the group scan
-//                           early; the scalar insert_impl re-verifies from
-//                           that slot. Prioritized inserts displace
-//                           occupants (occupied -> occupied transitions
-//                           with momentarily stale tags) and their stops
-//                           are priority comparisons a fingerprint cannot
-//                           decide, so they keep the untagged loop.
+// Capacity. The caller keeps the table from filling (the paper's
+// precondition), yet a full table is a legal state for every operation but
+// the insert of a new key, which throws table_full_error. A find that sweeps
+// every slot without a stop reports the key absent, a backshift erase whose
+// forward scan wraps runs its downward scan over every slot, and
+// FindReplacement treats a wrap back to the hole as reaching ⊥.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <utility>
@@ -72,9 +53,7 @@
 
 #include "phch/core/entry_traits.h"
 #include "phch/core/phase_guard.h"
-#include "phch/core/simd_scan.h"
 #include "phch/core/table_common.h"
-#include "phch/core/tag_array.h"
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
@@ -118,15 +97,11 @@ class probe_engine {
 
   // Probes may stop early on the ordering invariant (batch-engine tag).
   static constexpr bool ordered_probes = Order::ordered_probes;
-  // Tombstones make every probe bounded: a full sweep proves absence rather
-  // than signalling a (forbidden) full table, because garbage, not live
-  // elements, may occupy every slot.
-  static constexpr bool bounded_probes = Delete::uses_tombstones;
 
   // Capacity is rounded up to a power of two. The caller must keep the
   // table from filling (paper precondition); `load_factor()` reports usage.
   explicit probe_engine(std::size_t min_capacity)
-      : slots_(min_capacity), tags_(slots_.capacity()) {}
+      : slots_(min_capacity) {}
 
   std::size_t capacity() const noexcept { return slots_.capacity(); }
 
@@ -153,7 +128,6 @@ class probe_engine {
 
   void clear() {
     slots_.clear();
-    tags_.clear();
     occupied_.reset();
   }
 
@@ -247,13 +221,6 @@ class probe_engine {
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     obs::latency_sampler lat(hists_);
-    if constexpr (!Order::ordered_probes) {
-      const simd::backend b = simd::active();
-      if (simd::usable(b, capacity())) {
-        insert_tagged(v, b);
-        return;
-      }
-    }
     insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
   }
 
@@ -342,7 +309,6 @@ class probe_engine {
       } else if (!insert_scan_stop(c, v)) {
         // The occupant keeps the slot; advance (below).
       } else if (cas_tallied(tally, &slots_[i], c, v)) {
-        tags_.store(i, fp_of(v));
         if constexpr (Order::ordered_probes) {
           // The displaced (strictly lower priority) element, possibly ⊥, is
           // now this operation's responsibility.
@@ -385,11 +351,6 @@ class probe_engine {
     typename Phase::scope guard(phase_, op_kind::erase);
     obs::latency_sampler lat(hists_);
     obs::count(obs::counter::erase_ops);
-    const simd::backend b = simd::active();
-    if (simd::usable(b, capacity())) {
-      erase_tagged(kq, b);
-      return;
-    }
     if constexpr (Delete::uses_tombstones) {
       tombstone_erase(kq, home(kq), 0);
     } else {
@@ -398,14 +359,15 @@ class probe_engine {
       obs::probe_depth_scope depth(&hists_, tally);
       // Unwrapped coordinates, offset by one capacity so they never
       // underflow. Initial forward scan (lines 27-29): past every slot the
-      // ordering policy says could still precede the key.
+      // ordering policy says could still precede the key. On a full table
+      // the scan may find no stop; after a full wrap the downward scan
+      // covers every slot.
       const std::uint64_t i = cap + home(kq);
       std::uint64_t k = i;
       for (;;) {
         ++tally.slots;
-        if (erase_scan_stop(atomic_load(slot(k)), kq)) break;
+        if (erase_scan_stop(atomic_load(slot(k)), kq) || k - i + 1 == cap) break;
         ++k;
-        if (k - i > cap) throw table_full_error();
       }
       erase_downward(tally, kq, i, k);
     }
@@ -443,14 +405,13 @@ class probe_engine {
         // Replace with the tombstone; a failed CAS means a concurrent erase
         // got it first (same result).
         if (cas_tallied(tally, &slots_[i], c, Traits::busy())) {
-          tags_.store(i, tag_array::kTombstone);
           occupied_.decrement();
           obs::count(obs::counter::erase_hits);
         }
         return;
       }
       i = next(i);
-      if (++advances > cap) return;
+      if (++advances >= cap) return;  // full sweep: not present
     }
   }
 
@@ -467,8 +428,6 @@ class probe_engine {
       }
       const auto [j, w] = find_replacement(tally, k);
       if (cas_tallied(tally, slot(k), c, w)) {
-        tags_.store(static_cast<std::size_t>(k) & slots_.mask(),
-                    Traits::is_empty(w) ? tag_array::kEmpty : fp_of(w));
         if (!Traits::is_empty(w)) {
           // A second copy of w now exists; this operation becomes an
           // outstanding delete for w (lines 36-39).
@@ -498,13 +457,6 @@ class probe_engine {
     typename Phase::scope guard(phase_, op_kind::query);
     obs::latency_sampler lat(hists_);
     obs::count(obs::counter::find_ops);
-    const simd::backend b = simd::active();
-    if (simd::usable(b, capacity())) return find_tagged(kq, b);
-    return find_untagged(kq);
-  }
-
- private:
-  value_type find_untagged(key_type kq) const {
     obs::probe_tally tally;
     obs::probe_depth_scope depth(&hists_, tally);
     const std::size_t cap = capacity();
@@ -523,183 +475,10 @@ class probe_engine {
           break;
       }
       i = next(i);
-      if (++advances > cap) {
-        if constexpr (bounded_probes) return Traits::empty();
-        else throw table_full_error();
-      }
+      if (++advances == cap) return Traits::empty();  // full sweep: absent
     }
   }
 
-  // --- tagged probe loops (see the sidecar notes in the file header) -------
-  //
-  // All three walk the sidecar in naturally-aligned groups: start at the
-  // home slot's group with the lanes before home masked off, advance whole
-  // groups (the power-of-two capacity is a multiple of the group width), and
-  // give up after capacity/W + 1 groups — a full wrap, resolved exactly like
-  // the scalar loops' `advances > cap`.
-
-  static std::uint8_t fp_of(value_type v) noexcept {
-    return tag_array::fingerprint(Traits::hash(Traits::key(v)));
-  }
-
-  // In the (quiescent) query phase tags are exact, so for every policy pair
-  // the verdict is: confirm fingerprint candidates below the first empty
-  // tag, and conclude a miss at that empty. Prioritized tables trade their
-  // early priority-stop for the group scan — same result, and the group
-  // compares are far cheaper than per-slot priority compares.
-  value_type find_tagged(key_type kq, simd::backend b) const {
-    obs::probe_tally tally;
-    obs::probe_depth_scope depth(&hists_, tally);
-    obs::tag_tally tt;
-    const std::uint64_t h = Traits::hash(kq);
-    const std::uint8_t fp = tag_array::fingerprint(h);
-    const std::size_t mask = slots_.mask();
-    const std::size_t w = simd::group_width(b);
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    std::size_t g = ihome & ~(w - 1);
-    std::uint32_t lanes = ~0u << (ihome - g);  // skip lanes before home
-    const std::size_t max_groups = capacity() / w + 1;
-    for (std::size_t scanned = 0;;) {
-      simd::group_masks m =
-          simd::scan_group(tags_.data() + g, fp, tag_array::kEmpty, b);
-      ++tt.groups;
-      m.match &= lanes;
-      m.empty &= lanes;
-      lanes = ~0u;
-      std::uint32_t cand = m.match & simd::below_lowest(m.empty);
-      while (cand != 0) {
-        const std::size_t s = g + static_cast<std::size_t>(std::countr_zero(cand));
-        cand &= cand - 1;
-        const value_type c = atomic_load(&slots_[s]);
-        ++tally.slots;
-        ++tt.candidates;
-        if (is_present(c) && Traits::key_equal(Traits::key(c), kq)) {
-          obs::count(obs::counter::find_hits);
-          return c;
-        }
-        ++tt.false_positives;
-      }
-      if (m.empty != 0) return Traits::empty();
-      g = (g + w) & mask;
-      if (++scanned >= max_groups) {
-        if constexpr (bounded_probes) return Traits::empty();
-        else throw table_full_error();
-      }
-    }
-  }
-
-  // Delete phase. Tombstone tables never move elements, so an empty tag
-  // (published only after its slot became empty, and empty slots stay empty
-  // all phase) proves absence, and a confirmed candidate is CASed to the
-  // tombstone right here. Backshift deletes do move elements — a concurrent
-  // FindReplacement may have CASed the key into a slot whose tag byte is
-  // not yet published — so a scan verdict only chooses where the full-slot
-  // downward scan starts: at a confirmed candidate (the key's position), or
-  // at the first empty when no candidate confirms. Both starts dominate
-  // every position the key (or a mid-move copy of it) can occupy, which is
-  // all erase_downward needs.
-  void erase_tagged(key_type kq, simd::backend b) {
-    obs::probe_tally tally;
-    obs::probe_depth_scope depth(&hists_, tally);
-    obs::tag_tally tt;
-    const std::uint64_t h = Traits::hash(kq);
-    const std::uint8_t fp = tag_array::fingerprint(h);
-    const std::size_t mask = slots_.mask();
-    const std::size_t cap = capacity();
-    const std::size_t w = simd::group_width(b);
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    std::size_t g = ihome & ~(w - 1);
-    std::uint32_t lanes = ~0u << (ihome - g);
-    const std::size_t max_groups = cap / w + 1;
-    const std::uint64_t iu = cap + ihome;  // unwrapped home
-    for (std::size_t scanned = 0;;) {
-      simd::group_masks m =
-          simd::scan_group(tags_.data() + g, fp, tag_array::kEmpty, b);
-      ++tt.groups;
-      m.match &= lanes;
-      m.empty &= lanes;
-      lanes = ~0u;
-      std::uint32_t cand = m.match & simd::below_lowest(m.empty);
-      while (cand != 0) {
-        const std::size_t s = g + static_cast<std::size_t>(std::countr_zero(cand));
-        cand &= cand - 1;
-        const value_type c = atomic_load(&slots_[s]);
-        ++tally.slots;
-        ++tt.candidates;
-        if (is_present(c) && Traits::key_equal(Traits::key(c), kq)) {
-          if constexpr (Delete::uses_tombstones) {
-            // A failed CAS means a concurrent erase got it first (same
-            // result), exactly like the scalar mark loop.
-            if (cas_tallied(tally, &slots_[s], c, Traits::busy())) {
-              tags_.store(s, tag_array::kTombstone);
-              occupied_.decrement();
-              obs::count(obs::counter::erase_hits);
-            }
-          } else {
-            erase_downward(tally, kq, iu, iu + ((s - ihome) & mask));
-          }
-          return;
-        }
-        ++tt.false_positives;
-      }
-      if (m.empty != 0) {
-        if constexpr (Delete::uses_tombstones) return;  // first ⊥: absent
-        const std::size_t s =
-            g + static_cast<std::size_t>(std::countr_zero(m.empty));
-        erase_downward(tally, kq, iu, iu + ((s - ihome) & mask));
-        return;
-      }
-      g = (g + w) & mask;
-      if (++scanned >= max_groups) {
-        if constexpr (bounded_probes) return;
-        else throw table_full_error();
-      }
-    }
-  }
-
-  // Insert phase, arrival order only (see the file header for why the
-  // prioritized loop keeps its untagged scan). During an insert phase slots
-  // only go empty -> occupied and tags lag behind, so a stale tag can only
-  // look "empty" where the slot is already taken — stopping the group scan
-  // early, never late. The scan therefore just finds the first potential
-  // commit point (fingerprint match: possible duplicate; empty: possible
-  // claim) and hands off to insert_impl, which re-loads from that slot and
-  // is correct from any starting position at or before the real stop: every
-  // skipped slot is live with a different fingerprint (hence a different
-  // key) or a tombstone, and the scalar loop steps over both — inserts
-  // never reuse tombstones (the footprint-only-grows policy), so kTombstone
-  // tags are correctly not stops.
-  void insert_tagged(value_type v, simd::backend b)
-    requires(!Order::ordered_probes)
-  {
-    typename Phase::scope guard(phase_, op_kind::insert);
-    obs::tag_tally tt;
-    const std::uint64_t h = Traits::hash(Traits::key(v));
-    const std::uint8_t fp = tag_array::fingerprint(h);
-    const std::size_t mask = slots_.mask();
-    const std::size_t cap = capacity();
-    const std::size_t w = simd::group_width(b);
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    std::size_t g = ihome & ~(w - 1);
-    std::uint32_t lanes = ~0u << (ihome - g);
-    const std::size_t max_groups = cap / w + 1;
-    for (std::size_t scanned = 0;;) {
-      const simd::group_masks m =
-          simd::scan_group(tags_.data() + g, fp, tag_array::kEmpty, b);
-      ++tt.groups;
-      const std::uint32_t stop = (m.match | m.empty) & lanes;
-      lanes = ~0u;
-      if (stop != 0) {
-        const std::size_t s = g + static_cast<std::size_t>(std::countr_zero(stop));
-        insert_impl(v, cap + 1, s, (s - ihome) & mask);
-        return;
-      }
-      g = (g + w) & mask;
-      if (++scanned >= max_groups) throw table_full_error();
-    }
-  }
-
- public:
   bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
     return !Traits::is_empty(find(kq));
   }
@@ -726,10 +505,6 @@ class probe_engine {
 
   // Raw slot view for tests (layout/ordering-invariant verification).
   const value_type* raw_slots() const noexcept { return slots_.data(); }
-
-  // Raw tag-sidecar view for the batch engine's group scans and the
-  // tag-consistency tests. Entry i describes slots_[i]; see tag_array.
-  const std::uint8_t* raw_tags() const noexcept { return tags_.data(); }
 
   // Address of the key's home slot, for software prefetching in batched
   // operations (see core/batch_ops.h).
@@ -804,7 +579,10 @@ class probe_engine {
     value_type w;
     do {
       ++j;
-      if (j - k > cap) throw table_full_error();
+      if (j - k == cap) {  // full wrap back to the hole: as if ⊥
+        w = Traits::empty();
+        break;
+      }
       w = atomic_load(slot(j));
       ++tally.slots;
     } while (!Traits::is_empty(w) && unwrapped_home(w, j) > k);
@@ -837,7 +615,6 @@ class probe_engine {
   }
 
   slot_array<Traits> slots_;
-  tag_array tags_;
   striped_counter occupied_;
   mutable Phase phase_;
   [[no_unique_address]] mutable obs::table_hists hists_;

@@ -1,301 +1,17 @@
-// Vectorized group scans over the 1-byte tag sidecar (core/tag_array.h).
-//
-// A probe that walks full slots loads 8-16 bytes and takes a compare branch
-// per position. With a fingerprint byte per slot, one vector compare +
-// movemask classifies a whole *group* of slots at once; the probe loop then
-// touches only the (rare) candidate slots whose fingerprint matched. Three
-// backends share one shape so every platform takes the fast path:
-//
-//   avx2   32-slot groups   x86, compiled via a per-function target
-//                           attribute and gated at runtime on cpuid, so the
-//                           default build (no -mavx2) still carries it.
-//   sse2   16-slot groups   x86-64 baseline (always available there).
-//   neon   16-slot groups   aarch64 baseline.
-//   swar   8-slot groups    portable uint64 arithmetic; also the forced
-//                           fallback under ThreadSanitizer and when the
-//                           build disables vector backends (PHCH_FORCE_SWAR).
-//
-// Selection: compile-time availability (this header), then a process-wide
-// active backend initialized from the PHCH_SIMD environment variable
-// (auto | off | swar | sse2 | neon | avx2) and overridable from code with
-// set_backend() — tests use that to run every compiled backend, and `off`
-// reverts every probe loop to the untagged scalar walk.
-//
-// Concurrency: tag bytes are published with relaxed atomic stores *after*
-// the owning slot CAS commits, and every scan result is confirmed against
-// the slot array, so a scan may read a mix of old and new tags without
-// affecting semantics. The group loads below are deliberately plain vector
-// loads (byte-wise atomicity is guaranteed by x86/ARM for naturally aligned
-// vectors in practice, and any torn byte is just another candidate to
-// confirm); under ThreadSanitizer, which models vector loads as one wide
-// access and would report them racing with the byte stores, the SWAR
-// backend is forced and assembles its group from per-byte relaxed atomic
-// loads instead.
+// Compatibility shim for the phase-cycle benchmark harness (perfbench/),
+// which still switches a tag-scan backend around its timed and traced
+// passes. The tables carry no fingerprint sidecar and have one untagged
+// probe path (DESIGN.md §12), so `off` is the only backend and every call
+// here is a no-op. This header goes away with the harness's --tagged-probes
+// flag; library code must not include it.
 #pragma once
-
-#include <bit>
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-
-#include "phch/utils/arch.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define PHCH_SIMD_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PHCH_SIMD_TSAN 1
-#endif
-#endif
-#ifndef PHCH_SIMD_TSAN
-#define PHCH_SIMD_TSAN 0
-#endif
-
-// PHCH_FORCE_SWAR=1 (CMake option, CI matrix job) compiles the vector
-// backends out entirely, proving the portable path never rots.
-#if (defined(PHCH_FORCE_SWAR) && PHCH_FORCE_SWAR) || PHCH_SIMD_TSAN
-#define PHCH_SIMD_VECTOR_BACKENDS 0
-#else
-#define PHCH_SIMD_VECTOR_BACKENDS 1
-#endif
-
-#if PHCH_SIMD_VECTOR_BACKENDS && PHCH_ARCH_X86 && defined(__SSE2__)
-#define PHCH_SIMD_HAVE_SSE2 1
-#else
-#define PHCH_SIMD_HAVE_SSE2 0
-#endif
-
-#if PHCH_SIMD_VECTOR_BACKENDS && PHCH_ARCH_AARCH64 && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define PHCH_SIMD_HAVE_NEON 1
-#else
-#define PHCH_SIMD_HAVE_NEON 0
-#endif
 
 namespace phch::simd {
 
-enum class backend : std::uint8_t { off, swar, sse2, neon, avx2 };
+enum class backend { off };
 
-// Widest group any backend scans; tag_array over-allocates to this so a
-// group load never runs off the end of a small table's tag block.
-inline constexpr std::size_t kMaxGroupWidth = 32;
-
-constexpr std::size_t group_width(backend b) noexcept {
-  switch (b) {
-    case backend::avx2: return 32;
-    case backend::sse2:
-    case backend::neon: return 16;
-    case backend::swar: return 8;
-    case backend::off: return 0;
-  }
-  return 0;
-}
-
-constexpr const char* backend_name(backend b) noexcept {
-  switch (b) {
-    case backend::avx2: return "avx2";
-    case backend::sse2: return "sse2";
-    case backend::neon: return "neon";
-    case backend::swar: return "swar";
-    case backend::off: return "off";
-  }
-  return "?";
-}
-
-// One group scan's verdict: bit i set iff tag byte i equals the probed
-// fingerprint (match) / the empty sentinel (empty). Only the low
-// group_width(b) bits are ever set.
-struct group_masks {
-  std::uint32_t match = 0;
-  std::uint32_t empty = 0;
-};
-
-namespace detail {
-
-inline constexpr std::uint64_t kLoBits = 0x0101010101010101ULL;
-inline constexpr std::uint64_t kHiBits = 0x8080808080808080ULL;
-inline constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
-
-// 8 tag bytes as one little-endian word (byte i -> bits 8i..8i+7).
-inline std::uint64_t load_group8(const std::uint8_t* g) noexcept {
-#if PHCH_SIMD_TSAN
-  // Per-byte relaxed loads: the tag stores are per-byte relaxed atomics,
-  // so this is the access pattern TSan can pair them with.
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | __atomic_load_n(g + i, __ATOMIC_RELAXED);
-  }
-  return v;
-#else
-  return __atomic_load_n(reinterpret_cast<const std::uint64_t*>(g),
-                         __ATOMIC_RELAXED);
-#endif
-}
-
-// Exact byte-equality mask: bit i of the result is set iff byte i of v
-// equals b. The usual haszero trick ((v-kLoBits) & ~v & kHiBits) reports
-// false positives in bytes above the lowest zero (its borrow propagates);
-// this form evaluates each byte independently, which the backend-equality
-// tests rely on.
-inline std::uint32_t eq_mask8(std::uint64_t v, std::uint8_t b) noexcept {
-  const std::uint64_t x = v ^ (kLoBits * b);
-  const std::uint64_t zero = ~(x | ((x & kLow7) + kLow7)) & kHiBits;
-  // Compress the per-byte high bits (positions 8i+7) down to bits 0..7.
-  return static_cast<std::uint32_t>((zero * 0x0002040810204081ULL) >> 56);
-}
-
-inline group_masks scan_swar(const std::uint8_t* g, std::uint8_t match_tag,
-                             std::uint8_t empty_tag) noexcept {
-  const std::uint64_t v = load_group8(g);
-  return {eq_mask8(v, match_tag), eq_mask8(v, empty_tag)};
-}
-
-#if PHCH_SIMD_HAVE_SSE2
-inline group_masks scan_sse2(const std::uint8_t* g, std::uint8_t match_tag,
-                             std::uint8_t empty_tag) noexcept {
-  const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(g));
-  const auto mask = [&](std::uint8_t b) {
-    return static_cast<std::uint32_t>(_mm_movemask_epi8(
-        _mm_cmpeq_epi8(v, _mm_set1_epi8(static_cast<char>(b)))));
-  };
-  return {mask(match_tag), mask(empty_tag)};
-}
-
-// Compiled with AVX2 enabled for this one function regardless of the
-// translation unit's -m flags; only ever called after a cpuid check. No
-// lambdas in the body: a lambda's operator() would not inherit the target
-// attribute and the always_inline intrinsics would fail to inline into it.
-__attribute__((target("avx2"))) inline group_masks scan_avx2(
-    const std::uint8_t* g, std::uint8_t match_tag,
-    std::uint8_t empty_tag) noexcept {
-  const __m256i v = _mm256_load_si256(reinterpret_cast<const __m256i*>(g));
-  const __m256i eq_match =
-      _mm256_cmpeq_epi8(v, _mm256_set1_epi8(static_cast<char>(match_tag)));
-  const __m256i eq_empty =
-      _mm256_cmpeq_epi8(v, _mm256_set1_epi8(static_cast<char>(empty_tag)));
-  return {static_cast<std::uint32_t>(_mm256_movemask_epi8(eq_match)),
-          static_cast<std::uint32_t>(_mm256_movemask_epi8(eq_empty))};
-}
-#endif  // PHCH_SIMD_HAVE_SSE2
-
-#if PHCH_SIMD_HAVE_NEON
-inline std::uint32_t neon_movemask(uint8x16_t eq) noexcept {
-  // AND each compare byte (0x00/0xff) with its lane's bit weight, then
-  // horizontal-add each half into one byte of the 16-bit mask.
-  static const std::uint8_t kWeights[16] = {1, 2, 4, 8, 16, 32, 64, 128,
-                                            1, 2, 4, 8, 16, 32, 64, 128};
-  const uint8x16_t w = vandq_u8(eq, vld1q_u8(kWeights));
-  return static_cast<std::uint32_t>(vaddv_u8(vget_low_u8(w))) |
-         (static_cast<std::uint32_t>(vaddv_u8(vget_high_u8(w))) << 8);
-}
-
-inline group_masks scan_neon(const std::uint8_t* g, std::uint8_t match_tag,
-                             std::uint8_t empty_tag) noexcept {
-  const uint8x16_t v = vld1q_u8(g);
-  return {neon_movemask(vceqq_u8(v, vdupq_n_u8(match_tag))),
-          neon_movemask(vceqq_u8(v, vdupq_n_u8(empty_tag)))};
-}
-#endif  // PHCH_SIMD_HAVE_NEON
-
-}  // namespace detail
-
-// Compile-time + runtime availability of a backend on this machine.
-inline bool available(backend b) noexcept {
-  switch (b) {
-    case backend::off:
-    case backend::swar:
-      return true;
-    case backend::sse2:
-      return PHCH_SIMD_HAVE_SSE2 != 0;
-    case backend::neon:
-      return PHCH_SIMD_HAVE_NEON != 0;
-    case backend::avx2:
-#if PHCH_SIMD_HAVE_SSE2
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-// Widest available backend (what PHCH_SIMD=auto resolves to).
-inline backend best() noexcept {
-  if (available(backend::avx2)) return backend::avx2;
-  if (available(backend::sse2)) return backend::sse2;
-  if (available(backend::neon)) return backend::neon;
-  return backend::swar;
-}
-
-namespace detail {
-
-inline backend parse_env() noexcept {
-  const char* v = std::getenv("PHCH_SIMD");
-  if (v == nullptr || *v == '\0' || std::strcmp(v, "auto") == 0) return best();
-  if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-      std::strcmp(v, "scalar") == 0) {
-    return backend::off;
-  }
-  const backend named = std::strcmp(v, "swar") == 0   ? backend::swar
-                        : std::strcmp(v, "sse2") == 0 ? backend::sse2
-                        : std::strcmp(v, "neon") == 0 ? backend::neon
-                        : std::strcmp(v, "avx2") == 0 ? backend::avx2
-                                                      : best();
-  return available(named) ? named : best();
-}
-
-inline backend& active_ref() noexcept {
-  static backend b = parse_env();
-  return b;
-}
-
-}  // namespace detail
-
-// The process-wide active backend. Plain (unsynchronized) read: the value
-// only changes via set_backend(), which callers use at quiescent points
-// (between phases / in tests and benches), never mid-operation.
-inline backend active() noexcept { return detail::active_ref(); }
-
-// Override the active backend; unavailable requests clamp to best().
-// Returns what actually took effect.
-inline backend set_backend(backend b) noexcept {
-  if (b != backend::off && !available(b)) b = best();
-  detail::active_ref() = b;
-  return b;
-}
-
-// True when backend b can drive a table of this capacity: group-aligned
-// iteration needs the (power-of-two) capacity to be at least one group.
-inline bool usable(backend b, std::size_t capacity) noexcept {
-  return b != backend::off && group_width(b) <= capacity;
-}
-
-// Scan one naturally-aligned group of tags for two byte values at once.
-// `g` must be aligned to group_width(b).
-inline group_masks scan_group(const std::uint8_t* g, std::uint8_t match_tag,
-                              std::uint8_t empty_tag, backend b) noexcept {
-  switch (b) {
-#if PHCH_SIMD_HAVE_SSE2
-    case backend::avx2:
-      return detail::scan_avx2(g, match_tag, empty_tag);
-    case backend::sse2:
-      return detail::scan_sse2(g, match_tag, empty_tag);
-#endif
-#if PHCH_SIMD_HAVE_NEON
-    case backend::neon:
-      return detail::scan_neon(g, match_tag, empty_tag);
-#endif
-    default:
-      return detail::scan_swar(g, match_tag, empty_tag);
-  }
-}
-
-// Bits strictly below the lowest set bit of m (all ones when m == 0):
-// candidates past the first empty slot belong to a later cluster and are
-// masked off with this.
-inline std::uint32_t below_lowest(std::uint32_t m) noexcept {
-  return m != 0 ? (m & (~m + 1u)) - 1u : ~0u;
-}
+inline backend active() noexcept { return backend::off; }
+inline backend set_backend(backend b) noexcept { return b; }
+inline const char* backend_name(backend) noexcept { return "off"; }
 
 }  // namespace phch::simd

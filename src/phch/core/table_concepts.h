@@ -17,7 +17,6 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "phch/core/phase_runtime.h"
@@ -71,8 +70,8 @@ concept open_addressing_table = phase_table<T> && requires(const T& ct) {
 
 // A table the software-pipelined batch engine can drive: raw slot access
 // for probing, the three policy classifiers, scalar continuations that
-// resume mid-probe, per-batch phase scopes, and the ordered/bounded probe
-// tags. probe_engine models this for every policy combination, so all
+// resume mid-probe, per-batch phase scopes, and the ordered-probe tag.
+// probe_engine models this for every policy combination, so all
 // open-addressing linear tables batch through one engine.
 template <typename T>
 concept batchable_table =
@@ -80,7 +79,6 @@ concept batchable_table =
     requires(T& t, const T& ct, typename T::value_type v, typename T::key_type k,
              std::size_t i) {
       { T::ordered_probes } -> std::convertible_to<bool>;
-      { T::bounded_probes } -> std::convertible_to<bool>;
       { T::classify_find(v, k) } -> std::same_as<probe_verdict>;
       { T::insert_scan_stop(v, v) } -> std::convertible_to<bool>;
       { T::erase_scan_stop(v, k) } -> std::convertible_to<bool>;
@@ -89,17 +87,6 @@ concept batchable_table =
       ct.batch_query_scope();
       t.batch_insert_scope();
       t.batch_erase_scope();
-    };
-
-// A batchable table that also carries the 1-byte fingerprint sidecar
-// (core/tag_array.h): raw tag access lets the batch engine scan probe
-// groups with core/simd_scan.h instead of loading full slots.
-template <typename T>
-concept tagged_probe_table =
-    batchable_table<T> &&
-    requires(const T& ct, typename T::value_type v) {
-      { ct.raw_tags() } -> std::convertible_to<const std::uint8_t*>;
-      { T::is_present(v) } -> std::convertible_to<bool>;
     };
 
 // A table that implements its own whole-batch operations (the growable

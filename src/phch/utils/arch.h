@@ -1,12 +1,10 @@
 // Architecture detection and the portable spin-wait hint.
 //
-// Two consumers need to know what ISA they are on: the spin-wait sites
-// (parallel/spinlock.h, room_sync, growable_table, the scheduler) want the
-// cheapest "I am busy-waiting" hint the core offers, and the SIMD dispatch
-// layer (core/simd_scan.h) wants the compile-time half of its backend
-// selection. Centralizing the #ifdef ladder here keeps both in sync and
-// keeps <immintrin.h> from being included unconditionally on non-x86
-// builds.
+// The spin-wait sites (parallel/spinlock.h, room_sync, growable_table, the
+// scheduler) want the cheapest "I am busy-waiting" hint the core offers.
+// Centralizing the #ifdef ladder here keeps every site in sync and keeps
+// <immintrin.h> from being included unconditionally on non-x86 builds; it
+// is the one header allowed to include an intrinsics header.
 #pragma once
 
 #include <thread>

@@ -1,15 +1,19 @@
 // Adversarial scenarios for the linear-probing tables: degenerate hash
-// functions (everything in one cluster), minimal capacities, keys adjacent
-// to the sentinel values, and wraparound-heavy layouts. These target the
-// unwrapped-index arithmetic and the cluster-relative comparisons of the
-// paper's Figure 1 pseudocode.
+// functions (everything in one cluster), minimal capacities, completely
+// full tables, keys adjacent to the sentinel values, and wraparound-heavy
+// layouts. These target the unwrapped-index arithmetic and the
+// cluster-relative comparisons of the paper's Figure 1 pseudocode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/nd_linear_table.h"
 #include "phch/core/serial_table.h"
+#include "phch/core/tombstone_table.h"
 #include "table_test_util.h"
 
 namespace phch {
@@ -176,6 +180,117 @@ TEST(Adversarial, SerialTablesAgreeOnDegenerateHash) {
   const std::set<std::uint64_t> a(ea.begin(), ea.end());
   const std::set<std::uint64_t> b(eb.begin(), eb.end());
   EXPECT_EQ(a, b);
+}
+
+// --- completely full tables ------------------------------------------------
+//
+// A table holding `capacity` keys has no empty slot, so every probe that
+// finds no stop wraps the whole array. Find and erase must still end with
+// the right answer: a full sweep means "absent", FindReplacement treats the
+// wrap back to the hole as ⊥, and erasing any one key (or an absent one)
+// leaves exactly the others. For linearHash-D the layout must also equal a
+// fresh build of the remaining keys (history independence). Scalar
+// operations and the batch engine are checked alike.
+
+template <typename T>
+class FullTable : public ::testing::Test {};
+
+using FullTableTypes =
+    ::testing::Types<deterministic_table<int_entry<>>, nd_linear_table<int_entry<>>,
+                     tombstone_table<int_entry<>>,
+                     deterministic_table<last_home_entry>,
+                     nd_linear_table<last_home_entry>>;
+TYPED_TEST_SUITE(FullTable, FullTableTypes);
+
+// Keys 1..cap into a table of capacity cap: every slot is live.
+template <typename Table>
+std::vector<std::uint64_t> fill_full(Table& t, std::uint64_t cap) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 1; k <= cap; ++k) {
+    t.insert(k);
+    keys.push_back(k);
+  }
+  return keys;
+}
+
+// The table holds exactly `want`; under prioritized order its layout is
+// the layout of a fresh build of `want`.
+template <typename Table>
+void expect_exactly(const Table& t, std::vector<std::uint64_t> want) {
+  std::sort(want.begin(), want.end());
+  auto got = t.elements();
+  std::sort(got.begin(), got.end());
+  ASSERT_EQ(got, want);
+  for (const auto k : want) ASSERT_TRUE(t.contains(k)) << k;
+  if constexpr (Table::ordered_probes) {
+    Table fresh(t.capacity());
+    for (const auto k : want) fresh.insert(k);
+    for (std::size_t s = 0; s < t.capacity(); ++s) {
+      ASSERT_TRUE(bits_equal(t.raw_slots()[s], fresh.raw_slots()[s])) << "slot " << s;
+    }
+  }
+}
+
+std::vector<std::uint64_t> without(const std::vector<std::uint64_t>& keys,
+                                   std::uint64_t victim) {
+  std::vector<std::uint64_t> rest;
+  for (const auto k : keys) {
+    if (k != victim) rest.push_back(k);
+  }
+  return rest;
+}
+
+TYPED_TEST(FullTable, FindSweepsToAbsent) {
+  TypeParam t(8);
+  const auto keys = fill_full(t, 8);
+  ASSERT_EQ(t.capacity(), 8u);
+  ASSERT_EQ(t.count(), 8u);
+  std::vector<std::uint64_t> qs;
+  for (std::uint64_t k = 1; k <= 64; ++k) qs.push_back(k);
+  for (const auto k : qs) ASSERT_EQ(t.contains(k), k <= 8) << k;
+  const auto out = find_batch(t, qs);
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    if (qs[i] <= 8) {
+      ASSERT_EQ(out[i], qs[i]);
+    } else {
+      ASSERT_TRUE(TypeParam::traits::is_empty(out[i])) << qs[i];
+    }
+  }
+  expect_exactly(t, keys);
+}
+
+TYPED_TEST(FullTable, ScalarEraseOfEveryVictim) {
+  for (std::uint64_t victim = 1; victim <= 9; ++victim) {  // 9 is absent
+    TypeParam t(8);
+    const auto keys = fill_full(t, 8);
+    t.erase(victim);
+    expect_exactly(t, without(keys, victim));
+  }
+}
+
+TYPED_TEST(FullTable, BatchEraseOfEveryVictim) {
+  for (std::uint64_t victim = 1; victim <= 9; ++victim) {  // 9 is absent
+    TypeParam t(8);
+    const auto keys = fill_full(t, 8);
+    erase_batch(t, std::vector<std::uint64_t>{victim});
+    expect_exactly(t, without(keys, victim));
+  }
+}
+
+TYPED_TEST(FullTable, ConcurrentEraseFromFullTable) {
+  for (std::uint64_t rep = 0; rep < 10; ++rep) {
+    TypeParam scalar(64), batched(64);
+    const auto keys = fill_full(scalar, 64);
+    fill_full(batched, 64);
+    std::vector<std::uint64_t> dels, rest;
+    for (const auto k : keys) (k % 3 == rep % 3 ? dels : rest).push_back(k);
+    dels.push_back(1000 + rep);  // absent
+    dels = test::shuffled(dels, rep);
+    test::parallel_erase(scalar, dels);
+    erase_batch(batched, dels);
+    expect_exactly(scalar, rest);
+    expect_exactly(batched, rest);
+  }
 }
 
 }  // namespace

@@ -297,8 +297,6 @@ TEST(BatchOps, EveryPipelineWidthMatchesScalar) {
 // order, and find equality always holds because finds are read-only.
 
 static_assert(batchable_table<tombstone_table<int_entry<>>>);
-static_assert(tombstone_table<int_entry<>>::bounded_probes);
-static_assert(!deterministic_table<int_entry<>>::bounded_probes);
 
 TEST(BatchOpsTombstone, BatchSetSemanticsMatchReference) {
   const auto keys = test::dup_keys(15000, 9000, 41);
@@ -357,11 +355,11 @@ TEST(BatchOpsTombstone, InsertWidthOneSingleThreadMatchesScalarLayout) {
   expect_same_layout(piped, scalar);
 }
 
-TEST(BatchOpsTombstone, BoundedProbesResolveMissesOnGarbageFullTable) {
+TEST(BatchOpsTombstone, FullSweepResolvesMissesOnGarbageFullTable) {
   // Fill a 64-slot table completely with 32 live keys + 32 tombstones: no
   // empty slot remains, so an absent-key probe wraps the whole table. The
-  // bounded-probe path must resolve that as a miss (scalar find semantics),
-  // not a table_full_error, in both find and erase batches.
+  // full sweep must resolve that as a miss (scalar find semantics), not a
+  // table_full_error, in both find and erase batches.
   tombstone_table<int_entry<>> t(64);
   const auto first = test::unique_keys(32, 53);
   const auto second = test::unique_keys(32, 59);

@@ -106,6 +106,9 @@ TEST(GrowableTable, BatchInsertLayoutEqualsFreshTableOfFinalCapacity) {
   deterministic_table<int_entry<>> fixed(grown.capacity());
   insert_batch(fixed, keys);
   EXPECT_EQ(grown.elements(), fixed.elements());
+  for (std::size_t s = 0; s < fixed.capacity(); ++s) {
+    ASSERT_EQ(grown.inner().raw_slots()[s], fixed.raw_slots()[s]) << "slot " << s;
+  }
 }
 
 TEST(GrowableTable, FindAndEraseBatchesForwardThroughWrapper) {

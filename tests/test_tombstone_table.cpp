@@ -94,6 +94,29 @@ TEST(TombstoneTable, ChurnEventuallyOverflowsWithoutCompaction) {
       table_full_error);
 }
 
+// Churn until every slot is a tombstone: inserts then report the table
+// full (tombstones are never reused), while finds and erases of absent keys
+// sweep the whole array once and resolve as a miss / no-op.
+TEST(TombstoneTable, GarbageFullTableStaysBounded) {
+  ttable t(16);
+  bool filled = false;
+  for (std::uint64_t k = 1; k <= 64; ++k) {
+    try {
+      t.insert(k);
+    } catch (const table_full_error&) {
+      filled = true;
+      break;
+    }
+    t.erase(k);
+  }
+  ASSERT_TRUE(filled);
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_EQ(t.footprint(), t.capacity());
+  EXPECT_FALSE(t.contains(12345));
+  t.erase(54321);
+  EXPECT_EQ(t.footprint(), t.capacity());
+}
+
 TEST(TombstoneTable, CompactReclaimsTombstones) {
   ttable t(1 << 10);
   const auto keys = test::unique_keys(300, 11);

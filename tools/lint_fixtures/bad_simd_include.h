@@ -1,6 +1,6 @@
-// Known-bad fixture: pulls a vendor intrinsic header outside the two
-// dedicated homes (core/simd_scan.h, utils/arch.h) — phch_lint must report
-// simd-include even though the include is guarded.
+// Known-bad fixture: pulls a vendor intrinsic header outside its dedicated
+// home (utils/arch.h) — phch_lint must report simd-include even though the
+// include is guarded.
 #pragma once
 
 #if defined(__AVX2__)

@@ -27,10 +27,9 @@ because they are *project policy*, not C++ rules:
                             the scanned tree (the code moved or died; the
                             contract must follow).
   simd-include              vendor intrinsic headers (<immintrin.h>,
-                            <arm_neon.h>, ...) may appear only in the two
-                            dedicated homes: core/simd_scan.h and
-                            utils/arch.h. Everyone else goes through their
-                            portable wrappers.
+                            <arm_neon.h>, ...) may appear only in their
+                            dedicated home, utils/arch.h. Everyone else
+                            goes through its portable wrappers.
   telemetry-off-noop        the PHCH_TELEMETRY_ENABLED=0 branch of
                             obs/telemetry.h must contain only empty/trivial
                             inline bodies — the compiled-out build must not
@@ -623,7 +622,7 @@ def check_phase_contract(sf: SourceFile) -> list:
 # SIMD include allowlist
 # --------------------------------------------------------------------------
 
-SIMD_HOMES = ("src/phch/core/simd_scan.h", "src/phch/utils/arch.h")
+SIMD_HOMES = ("src/phch/utils/arch.h",)
 SIMD_INCLUDE_RE = re.compile(
     r'#\s*include\s*[<"]((?:x86|imm|emm|xmm|pmm|smm|tmm|nmm|wmm|amm)intrin'
     r'\.h|avx\w*\.h|arm_neon\.h|arm_sve\.h|altivec\.h)[>"]')
@@ -639,7 +638,7 @@ def check_simd_includes(sf: SourceFile) -> list:
             findings.append(Finding(
                 "simd-include", sf.path, idx,
                 f"vendor intrinsic header <{m.group(1)}> outside its "
-                f"dedicated homes ({', '.join(SIMD_HOMES)}); use the "
+                f"dedicated home ({', '.join(SIMD_HOMES)}); use the "
                 f"portable wrappers instead", m.group(1)))
     return findings
 
