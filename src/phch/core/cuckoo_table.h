@@ -49,14 +49,9 @@ class cuckoo_table {
   using key_type = typename Traits::key_type;
 
   explicit cuckoo_table(std::size_t min_capacity)
-      : capacity_(round_up_pow2(min_capacity < 4 ? 4 : min_capacity)),
-        mask_(capacity_ - 1),
-        slots_(capacity_),
-        locks_(capacity_) {
-    clear();
-  }
+      : slots_(min_capacity < 4 ? 4 : min_capacity), locks_(slots_.capacity()) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return slots_.capacity(); }
 
   // Striped occupancy: exact at a phase boundary, approximate mid-phase.
   std::size_t approx_size() const noexcept {
@@ -66,14 +61,11 @@ class cuckoo_table {
   // O(capacity) reference count, kept as the verification path for
   // approx_size() and the layout tests.
   std::size_t count() const {
-    return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
-                  [&](std::size_t i) {
-                    return Traits::is_empty(slots_[i]) ? std::size_t{0} : std::size_t{1};
-                  });
+    return slots_.count();
   }
 
   void clear() {
-    parallel_for(0, capacity_, [&](std::size_t i) { slots_[i] = Traits::empty(); });
+    slots_.clear();
     occupied_.reset();
   }
 
@@ -98,15 +90,13 @@ class cuckoo_table {
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    return pack(
-        capacity_, [&](std::size_t i) { return !Traits::is_empty(slots_[i]); },
-        [&](std::size_t i) { return slots_[i]; });
+    return slots_.elements();
   }
 
   template <typename F>
   void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, capacity_, [&](std::size_t s) {
+    parallel_for(0, capacity(), [&](std::size_t s) {
       const value_type c = slots_[s];
       if (!Traits::is_empty(c)) f(c);
     });
@@ -320,10 +310,10 @@ class cuckoo_table {
  private:
   static constexpr std::size_t kMaxEvictions = 10000;
 
-  std::size_t home1(key_type k) const noexcept { return Traits::hash(k) & mask_; }
+  std::size_t home1(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
   std::size_t home2(key_type k) const noexcept {
     // Independent second hash from a re-mix of the primary hash.
-    return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & mask_;
+    return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & slots_.mask();
   }
 
   void lock_pair(std::size_t a, std::size_t b) const {
@@ -349,8 +339,8 @@ class cuckoo_table {
     obs::count(obs::counter::insert_ops);
     // `avoid` is the slot the current element was just evicted from, so the
     // chain does not immediately bounce it back.
-    std::size_t avoid = capacity_;  // invalid
-    bool carrying = false;          // v is an evicted victim, already counted
+    std::size_t avoid = capacity();  // invalid
+    bool carrying = false;           // v is an evicted victim, already counted
     for (std::size_t iter = 0; iter < kMaxEvictions; ++iter) {
       const key_type k = Traits::key(v);
       const std::size_t i1 = home1(k);
@@ -443,9 +433,7 @@ class cuckoo_table {
     return Traits::empty();
   }
 
-  std::size_t capacity_;
-  std::size_t mask_;
-  std::vector<value_type> slots_;
+  slot_array<Traits> slots_;
   mutable std::vector<spinlock> locks_;
   striped_counter occupied_;
   mutable Phase phase_;

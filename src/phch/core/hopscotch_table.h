@@ -63,16 +63,12 @@ class hopscotch_table {
   static constexpr std::size_t kHopRange = 64;  // machine word, as the paper suggests
 
   explicit hopscotch_table(std::size_t min_capacity)
-      : capacity_(round_up_pow2(std::max<std::size_t>(min_capacity, 4 * kHopRange))),
-        mask_(capacity_ - 1),
-        slots_(capacity_),
-        hop_(capacity_, 0),
-        locks_(capacity_ / kSegmentSize),
-        timestamps_(WithTimestamps ? capacity_ / kSegmentSize : 1) {
-    clear();
-  }
+      : slots_(std::max<std::size_t>(min_capacity, 4 * kHopRange)),
+        hop_(slots_.capacity(), 0),
+        locks_(slots_.capacity() / kSegmentSize),
+        timestamps_(WithTimestamps ? slots_.capacity() / kSegmentSize : 1) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return slots_.capacity(); }
 
   // Striped occupancy: exact at a phase boundary, approximate mid-phase.
   std::size_t approx_size() const noexcept {
@@ -82,17 +78,12 @@ class hopscotch_table {
   // O(capacity) reference count, kept as the verification path for
   // approx_size() and the layout tests.
   std::size_t count() const {
-    return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
-                  [&](std::size_t i) {
-                    return Traits::is_empty(slots_[i]) ? std::size_t{0} : std::size_t{1};
-                  });
+    return slots_.count();
   }
 
   void clear() {
-    parallel_for(0, capacity_, [&](std::size_t i) {
-      slots_[i] = Traits::empty();
-      hop_[i] = 0;
-    });
+    slots_.clear();
+    parallel_for(0, capacity(), [&](std::size_t i) { hop_[i] = 0; });
     occupied_.reset();
   }
 
@@ -117,15 +108,13 @@ class hopscotch_table {
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    return pack(
-        capacity_, [&](std::size_t i) { return !Traits::is_empty(slots_[i]); },
-        [&](std::size_t i) { return slots_[i]; });
+    return slots_.elements();
   }
 
   template <typename F>
   void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, capacity_, [&](std::size_t s) {
+    parallel_for(0, capacity(), [&](std::size_t s) {
       const value_type c = slots_[s];
       if (!Traits::is_empty(c)) f(c);
     });
@@ -317,13 +306,13 @@ class hopscotch_table {
   static constexpr std::size_t kSegmentSize = 256;  // buckets per lock stripe
   static constexpr int kFindRetries = 2;
 
-  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & mask_; }
+  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
   std::size_t segment(std::uint64_t unwrapped) const noexcept {
-    return (unwrapped & mask_) / kSegmentSize;
+    return (unwrapped & slots_.mask()) / kSegmentSize;
   }
-  value_type* slot(std::uint64_t unwrapped) noexcept { return &slots_[unwrapped & mask_]; }
+  value_type* slot(std::uint64_t unwrapped) noexcept { return &slots_[unwrapped & slots_.mask()]; }
   const value_type* slot(std::uint64_t unwrapped) const noexcept {
-    return &slots_[unwrapped & mask_];
+    return &slots_[unwrapped & slots_.mask()];
   }
 
   // Home-neighborhood prefetch: the hop word plus the first two slot lines
@@ -333,12 +322,12 @@ class hopscotch_table {
   void prefetch_neighborhood_ro(std::size_t b) const noexcept {
     detail::prefetch_ro(&hop_[b]);
     detail::prefetch_ro(&slots_[b]);
-    detail::prefetch_ro(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
+    detail::prefetch_ro(&slots_[(b + batch_detail::slots_per_line<value_type>)&slots_.mask()]);
   }
   void prefetch_neighborhood_rw(std::size_t b) const noexcept {
     detail::prefetch_rw(&hop_[b]);
     detail::prefetch_rw(&slots_[b]);
-    detail::prefetch_rw(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
+    detail::prefetch_rw(&slots_[(b + batch_detail::slots_per_line<value_type>)&slots_.mask()]);
   }
 
   std::uint64_t hop_load(std::size_t b) const noexcept {
@@ -373,7 +362,7 @@ class hopscotch_table {
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
-        value_type& s = slots_[(b + d) & mask_];
+        value_type& s = slots_[(b + d) & slots_.mask()];
         const value_type c = atomic_load(&s);
         if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), k)) {
           if constexpr (Traits::has_combine) atomic_store(&s, Traits::combine(c, v));
@@ -389,7 +378,7 @@ class hopscotch_table {
       const value_type c = atomic_load(slot(free));
       if (Traits::is_empty(c) && cas(slot(free), c, Traits::busy())) break;
       ++free;
-      if (free - b >= capacity_) {
+      if (free - b >= capacity()) {
         obs::count(obs::counter::insert_aborts);
         throw table_full_error();
       }
@@ -420,7 +409,7 @@ class hopscotch_table {
     while (bits != 0) {
       const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
       bits &= bits - 1;
-      value_type& s = slots_[(b + d) & mask_];
+      value_type& s = slots_[(b + d) & slots_.mask()];
       const value_type c = atomic_load(&s);
       if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), kq)) {
         bump_timestamp(segment(b));
@@ -444,7 +433,7 @@ class hopscotch_table {
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
-        const value_type c = atomic_load(&slots_[(b + d) & mask_]);
+        const value_type c = atomic_load(&slots_[(b + d) & slots_.mask()]);
         ++tally.slots;
         if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
             Traits::key_equal(Traits::key(c), kq)) {
@@ -458,7 +447,7 @@ class hopscotch_table {
       // path that scans the whole hop window regardless of bitmaps.
     }
     for (std::size_t d = 0; d < kHopRange; ++d) {
-      const value_type c = atomic_load(&slots_[(b + d) & mask_]);
+      const value_type c = atomic_load(&slots_[(b + d) & slots_.mask()]);
       ++tally.slots;
       if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
           Traits::key_equal(Traits::key(c), kq)) {
@@ -483,7 +472,7 @@ class hopscotch_table {
         ul = std::unique_lock<spinlock>(locks_[seg], std::try_to_lock);
         if (!ul.owns_lock()) continue;
       }
-      std::uint64_t bits = hop_load(hb & mask_);
+      std::uint64_t bits = hop_load(hb & slots_.mask());
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -493,8 +482,8 @@ class hopscotch_table {
         if (Traits::is_empty(w) || bits_equal(w, Traits::busy())) continue;
         bump_timestamp(seg);
         atomic_store(slot(free), w);
-        hop_store(hb & mask_,
-                  (hop_load(hb & mask_) & ~(1ULL << d)) | (1ULL << (free - hb)));
+        hop_store(hb & slots_.mask(),
+                  (hop_load(hb & slots_.mask()) & ~(1ULL << d)) | (1ULL << (free - hb)));
         atomic_store(slot(s), Traits::busy());
         bump_timestamp(seg);
         obs::count(obs::counter::hopscotch_displacements);
@@ -504,9 +493,7 @@ class hopscotch_table {
     return free;
   }
 
-  std::size_t capacity_;
-  std::size_t mask_;
-  std::vector<value_type> slots_;
+  slot_array<Traits> slots_;
   std::vector<std::uint64_t> hop_;
   mutable std::vector<spinlock> locks_;
   std::vector<std::atomic<std::uint32_t>> timestamps_;

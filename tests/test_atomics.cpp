@@ -1,9 +1,13 @@
 // cas / write_min / write_max / fetch_add, including the 16-byte CAS the
-// deterministic table relies on for key-value combining.
+// deterministic table relies on for key-value combining, and the 16-byte
+// load/store/CAS path (inline VMOVDQA / CMPXCHG16B on AVX x86-64, the
+// __atomic builtins elsewhere and in sanitized builds).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "phch/core/entry_traits.h"
@@ -113,12 +117,91 @@ TEST(FetchAdd, SumsUnderContention) {
 }
 
 TEST(AtomicLoadStore, RoundTrips16Bytes) {
+  RecordProperty("atomic_vmovdqa", (PHCH_INLINE_ATOMIC16 && cpu_has_atomic_vmovdqa) ? 1 : 0);
   kv64 x{0, 0};
   atomic_store(&x, kv64{11, 22});
   const kv64 y = atomic_load(&x);
   EXPECT_EQ(y.k, 11u);
   EXPECT_EQ(y.v, 22u);
+  // A CAS against a value that differs in only one word must fail.
+  EXPECT_FALSE(cas(&x, kv64{11, 23}, kv64{5, 6}));
+  EXPECT_FALSE(cas(&x, kv64{12, 22}, kv64{5, 6}));
+  EXPECT_TRUE(cas(&x, y, kv64{5, 6}));
+  EXPECT_EQ(atomic_load(&x), (kv64{5, 6}));
 }
+
+// Writers move one kv64 through values {x, x} (one by CAS, one by store),
+// so both words change on every write; readers must never observe k != v.
+template <typename Load, typename Store>
+std::size_t count_torn_loads(Load load, Store store) {
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kLoadsPerReader = 1000000;
+  kv64 slot{0, 0};
+  std::atomic<int> writers_running{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> torn{0};
+
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // CAS writer: {x, x} -> {x+1, x+1}
+    writers_running.fetch_add(1, std::memory_order_release);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const kv64 cur = load(&slot);
+      cas(&slot, cur, kv64{cur.k + 1, cur.k + 1});
+    }
+  });
+  threads.emplace_back([&] {  // store writer: far-away values, all bits flip
+    writers_running.fetch_add(1, std::memory_order_release);
+    for (std::uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+      const std::uint64_t w = ~(i * 0x9e3779b97f4a7c15ULL);
+      store(&slot, kv64{w, w});
+    }
+  });
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_running.load(std::memory_order_acquire) < 2) std::this_thread::yield();
+      std::size_t bad = 0;
+      for (std::size_t i = 0; i < kLoadsPerReader; ++i) {
+        const kv64 c = load(&slot);
+        bad += c.k != c.v;
+      }
+      torn.fetch_add(bad, std::memory_order_relaxed);
+    });
+  }
+  for (std::size_t t = 2; t < threads.size(); ++t) threads[t].join();
+  stop.store(true, std::memory_order_relaxed);
+  threads[0].join();
+  threads[1].join();
+  const kv64 last = load(&slot);
+  return torn.load() + (last.k != last.v);
+}
+
+TEST(Atomics, SixteenByteLoadNeverTears) {
+  EXPECT_EQ(count_torn_loads([](const kv64* p) { return atomic_load(p); },
+                             [](kv64* p, kv64 v) { atomic_store(p, v); }),
+            0u);
+}
+
+#if PHCH_INLINE_ATOMIC16
+// The path CPUs without an atomic VMOVDQA take, run here on any x86-64.
+TEST(Atomics, SixteenByteCmpxchgLoadNeverTears) {
+  using u128 = unsigned __int128;
+  const auto load = [](const kv64* p) {
+    const u128 raw = detail::load16_cmpxchg(reinterpret_cast<const u128*>(p));
+    kv64 out;
+    std::memcpy(&out, &raw, sizeof out);
+    return out;
+  };
+  const auto store = [](kv64* p, kv64 v) {
+    u128 raw;
+    std::memcpy(&raw, &v, sizeof raw);
+    detail::store16_cmpxchg(reinterpret_cast<u128*>(p), raw);
+  };
+  EXPECT_EQ(count_torn_loads(load, store), 0u);
+  kv64 x{3, 4};
+  store(&x, kv64{7, 8});
+  EXPECT_EQ(load(&x), (kv64{7, 8}));
+}
+#endif
 
 }  // namespace
 }  // namespace phch

@@ -14,7 +14,9 @@ because they are *project policy*, not C++ rules:
                             or a delegation to an operation that does).
   atomic-implicit-order     no atomic access may rely on the implicit
                             seq_cst default: every load/store/RMW spells
-                            its std::memory_order explicitly.
+                            its std::memory_order explicitly, and every
+                            inline-asm atomic declares its order with a
+                            `phch_lint: order(...)` directive.
   atomic-contract-missing   every atomic access site must have a row in
                             tools/atomics_contract.tsv (file, symbol,
                             allowed orders, why). A new seq_cst — or any
@@ -56,6 +58,17 @@ Directives (in source comments):
   // phch_lint: not-a-table         opposite: skip the phase checks for
                                     this file (auto_phased_table mixes
                                     phases by design).
+  // phch_lint: order(o[,o...])     the memory order(s) an inline-asm
+                                    atomic implements (asm has no
+                                    memory_order argument), on the asm's
+                                    line or the comment lines above it.
+
+Atomic sites the census covers: std::atomic member calls and operator
+forms, the __atomic_* builtins, the __sync_* builtins (fixed orders: full
+barrier, except __sync_lock_test_and_set = acquire and __sync_lock_release
+= release), atomic_thread_fence, and inline asm whose template contains an
+atomic or fencing instruction (symbol `asm:` + its mnemonics, e.g.
+`asm:lock+cmpxchg16b`).
 
 Modes:
   phch_lint.py [paths...]              lint (default paths: src/phch)
@@ -332,6 +345,28 @@ METHOD_CALL_RE = re.compile(
 ORDER_RE = re.compile(r"\bmemory_order(?:::|_)(\w+)")
 BUILTIN_RE = re.compile(r"\b(__atomic_\w+)\s*\(")
 BUILTIN_ORDER_RE = re.compile(r"\b__ATOMIC_(\w+)\b")
+SYNC_RE = re.compile(r"\b(__sync_\w+)\s*\(")
+# The __sync builtins take no order argument; their ordering is fixed.
+SYNC_ORDERS = {"__sync_lock_test_and_set": "acquire",
+               "__sync_lock_release": "release"}
+ASM_RE = re.compile(r"\b(?:asm|__asm__|__asm)\b\s*"
+                    r"(?:(?:volatile|__volatile__|inline|goto)\s*)*\(")
+STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+# Instructions that make an asm statement an atomic access or a fence:
+# x86 locked/implicitly-locked RMWs, fences, and the 16-byte aligned moves
+# that AVX processors perform atomically; AArch64 exclusives, acquire/
+# release accesses, LSE atomics and barriers.
+ASM_ATOMIC_MNEMONICS = frozenset((
+    "lock", "xchg", "cmpxchg", "cmpxchg8b", "cmpxchg16b", "xadd",
+    "mfence", "lfence", "sfence",
+    "movdqa", "vmovdqa", "movaps", "vmovaps", "movapd", "vmovapd",
+    "ldxr", "stxr", "ldaxr", "stlxr", "ldxp", "stxp", "ldaxp", "stlxp",
+    "ldar", "stlr", "cas", "casal", "casp", "caspal", "swp", "swpal",
+    "ldadd", "ldaddal", "dmb", "dsb",
+))
+ASM_MNEMONIC_RE = re.compile(r"(?:^|[;\n]|\\n|\\t)\s*([a-z][a-z0-9]*)",
+                             re.IGNORECASE)
+ASM_ORDER_RE = re.compile(r"//\s*phch_lint:\s*order\(([a-z_,\s]+)\)")
 FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(")
 OP_RW_RE = re.compile(r"(\+\+|--|\+=|-=|\|=|&=|\^=)")
 
@@ -340,9 +375,10 @@ OP_RW_RE = re.compile(r"(\+\+|--|\+=|-=|\|=|&=|\^=)")
 class AtomicAccess:
     file: str
     line: int
-    symbol: str     # receiver member name, builtin name, or "fence"
+    symbol: str     # receiver member name, builtin name, "asm:<ops>", "fence"
     orders: list    # memory_order names at the site ([] = implicit)
-    kind: str       # "method" | "operator" | "builtin" | "fence"
+    kind: str       # "method" | "operator" | "builtin" | "sync-builtin" |
+                    # "asm" | "fence"
 
 
 def receiver_of(code: str, call_idx: int) -> str:
@@ -395,6 +431,22 @@ def extract_accesses(sf: SourceFile, atomic_names: set,
         orders = [o.lower() for o in BUILTIN_ORDER_RE.findall(args)]
         accesses.append(AtomicAccess(sf.path, line_of(code, m.start()),
                                      m.group(1), orders, "builtin"))
+    for m in SYNC_RE.finditer(code):
+        name = m.group(1)
+        accesses.append(AtomicAccess(sf.path, line_of(code, m.start()), name,
+                                     [SYNC_ORDERS.get(name, "seq_cst")],
+                                     "sync-builtin"))
+    for m in ASM_RE.finditer(code):
+        close = match_balanced(code, m.end() - 1, "(", ")")
+        if close < 0:
+            continue
+        mnemonics = asm_atomic_mnemonics(sf.raw[m.end():close - 1])
+        if not mnemonics:
+            continue
+        line = line_of(code, m.start())
+        accesses.append(AtomicAccess(sf.path, line,
+                                     "asm:" + "+".join(mnemonics),
+                                     asm_declared_orders(sf, line), "asm"))
     for m in FENCE_RE.finditer(code):
         close = match_balanced(code, m.end() - 1, "(", ")")
         if close < 0:
@@ -419,6 +471,38 @@ def extract_accesses(sf: SourceFile, atomic_names: set,
                 accesses.append(AtomicAccess(sf.path, idx, name, [],
                                              "operator"))
     return accesses
+
+
+def asm_atomic_mnemonics(asm_args: str) -> list:
+    """Atomic/fencing mnemonics of an asm statement's template (the string
+    literals before the first operand colon), deduplicated in order."""
+    template = "".join(STRING_RE.findall(asm_args.split(":", 1)[0]))
+    found = []
+    for m in ASM_MNEMONIC_RE.finditer(template):
+        ops = [m.group(1).lower()]
+        if ops[0] == "lock":  # prefix: the locked instruction follows it
+            nxt = re.match(r"\s+([a-z][a-z0-9]*)", template[m.end():], re.I)
+            if nxt:
+                ops.append(nxt.group(1).lower())
+        for op in ops:
+            if op in ASM_ATOMIC_MNEMONICS and op not in found:
+                found.append(op)
+    return found
+
+
+def asm_declared_orders(sf: SourceFile, line: int) -> list:
+    """Orders from a `phch_lint: order(...)` directive on the asm's line or
+    in the run of comment lines directly above it."""
+    candidates = [sf.lines[line - 1]]
+    i = line - 2
+    while i >= 0 and sf.lines[i].strip().startswith("//"):
+        candidates.append(sf.lines[i])
+        i -= 1
+    for text in candidates:
+        m = ASM_ORDER_RE.search(text)
+        if m:
+            return [o.strip() for o in m.group(1).split(",") if o.strip()]
+    return []
 
 
 # --------------------------------------------------------------------------
@@ -818,13 +902,18 @@ def main(argv=None) -> int:
     findings = []
     for a in accesses:
         if not a.orders:
-            what = ("operator access (++/--/+=/=) compiles to seq_cst"
-                    if a.kind == "operator" else
-                    "call relies on the implicit seq_cst default")
+            if a.kind == "asm":
+                what = ("inline asm carries no memory_order; declare the "
+                        "order it implements with `// phch_lint: order(...)`")
+            elif a.kind == "operator":
+                what = ("operator access (++/--/+=/=) compiles to seq_cst; "
+                        "spell the std::memory_order explicitly")
+            else:
+                what = ("call relies on the implicit seq_cst default; spell "
+                        "the std::memory_order explicitly")
             findings.append(Finding(
                 "atomic-implicit-order", a.file, a.line,
-                f"atomic `{a.symbol}`: {what}; spell the std::memory_order "
-                f"explicitly", a.symbol))
+                f"atomic `{a.symbol}`: {what}", a.symbol))
 
     contract_path = os.path.join(root, args.contract)
     if os.path.exists(contract_path):

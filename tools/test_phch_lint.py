@@ -74,6 +74,19 @@ class BadFixtures(unittest.TestCase):
         self.assertIn("atomic-contract-order", checks_in(out))
         self.assertIn("atomic-contract-missing", checks_in(out))
 
+    def test_uncontracted_sync_builtin_and_unordered_asm(self):
+        code, out = run_lint(["bad_uncontracted_sync.h"])
+        self.assertEqual(code, 1, out)
+        missing = [ln for ln in out.splitlines()
+                   if "atomic-contract-missing" in ln]
+        self.assertTrue(any("__sync_fetch_and_add" in ln for ln in missing),
+                        out)
+        self.assertTrue(any("asm:xchg" in ln for ln in missing), out)
+        implicit = [ln for ln in out.splitlines()
+                    if "atomic-implicit-order" in ln]
+        self.assertEqual(len(implicit), 1, out)
+        self.assertIn("asm:xchg", implicit[0])
+
     def test_simd_include_outside_homes(self):
         code, out = run_lint(["bad_simd_include.h"])
         self.assertEqual(code, 1, out)
@@ -143,6 +156,47 @@ class EmitContract(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("good_table.h\tlast_\tacquire,release\t"
                       "fixture: release-publish / acquire-read pair", out)
+
+
+class SyncAndAsmCensus(unittest.TestCase):
+    SRC = ("#pragma once\n"
+           "inline bool cas16(unsigned __int128* p, unsigned __int128 e,\n"
+           "                  unsigned __int128 d) {\n"
+           "  return __sync_bool_compare_and_swap(p, e, d);\n"
+           "}\n"
+           "inline void fence() {\n"
+           "  // phch_lint: order(seq_cst)\n"
+           "  asm volatile(\"lock; orl $0, (%%rsp)\\n\\tmfence\" ::: \"memory\");\n"
+           "}\n"
+           "inline void relax() { asm volatile(\"pause\" ::: \"memory\"); }\n")
+
+    def lint(self, contract_rows, extra=None):
+        with tempfile.TemporaryDirectory() as td:
+            with open(os.path.join(td, "s.h"), "w") as fh:
+                fh.write(self.SRC)
+            with open(os.path.join(td, "contract.tsv"), "w") as fh:
+                fh.write("".join(f"s.h\t{r}\n" for r in contract_rows))
+            return run_lint(["s.h"], root=td, extra=extra)
+
+    def test_contracted_sites_are_clean(self):
+        code, out = self.lint([
+            "__sync_bool_compare_and_swap\tseq_cst\tfixture",
+            "asm:lock+mfence\tseq_cst\tfixture"])
+        self.assertEqual(code, 0, out)
+        self.assertIn("2 atomic accesses", out)  # `pause` is not an atomic
+
+    def test_sync_order_is_fixed_by_the_builtin(self):
+        code, out = self.lint([
+            "__sync_bool_compare_and_swap\tacquire\tfixture",
+            "asm:lock+mfence\tseq_cst\tfixture"])
+        self.assertEqual(code, 1, out)
+        self.assertIn("atomic-contract-order", checks_in(out))
+
+    def test_census_names_the_new_sites(self):
+        code, out = self.lint([], extra=["--emit-contract"])
+        self.assertEqual(code, 0, out)
+        self.assertIn("s.h\t__sync_bool_compare_and_swap\tseq_cst\t", out)
+        self.assertIn("s.h\tasm:lock+mfence\tseq_cst\t", out)
 
 
 class LexerUnits(unittest.TestCase):
