@@ -22,7 +22,6 @@
 #include "phch/core/table_common.h"
 #include "phch/core/table_concepts.h"
 #include "phch/graph/graph.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/primitives.h"
@@ -148,9 +147,6 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
     const std::size_t total_degree = scan_add_inplace(offsets);
     Table table(
         round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (total_degree + 2))));
-    // Each level's fresh table registers under the same name; a metrics
-    // scrape mid-search sees the level currently expanding.
-    const obs::scoped_registration reg("bfs", table);
     std::vector<graph::vertex_id> candidates(total_degree, kHole);
     detail::relax_frontier(g, frontier, parents, offsets,
                            [&](graph::vertex_id w, std::size_t slot) {

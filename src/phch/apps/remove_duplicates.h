@@ -8,7 +8,6 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/table_concepts.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/trace.h"
 
 namespace phch::apps {
@@ -23,7 +22,6 @@ template <phase_table Table, typename In>
 std::vector<typename Table::value_type> remove_duplicates(const std::vector<In>& input,
                                                           std::size_t table_capacity) {
   Table table(table_capacity);
-  const obs::scoped_registration reg("dedup", table);
   obs::mark("dedup/start");
   {
     obs::span sp("dedup:insert");

@@ -38,7 +38,6 @@
 
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_concepts.h"
-#include "phch/obs/histogram.h"
 #include "phch/parallel/reclaim.h"
 #include "phch/parallel/room_sync.h"
 
@@ -140,15 +139,9 @@ class auto_phased_table {
   Table& underlying() noexcept { return table_; }
   const Table& underlying() const noexcept { return table_; }
 
-  // Observability passthroughs: the wrapper performs every operation on the
-  // wrapped table, so its distribution block and phase word *are* this
-  // table's — surfacing them here lets obs::register_table attribute
-  // histograms and the phase epoch to the wrapper directly.
-  obs::table_hists& hists() const noexcept
-    requires requires(const Table& t) { t.hists(); }
-  {
-    return table_.hists();
-  }
+  // The wrapper performs every operation on the wrapped table, so its phase
+  // word *is* this table's; surfacing it here lets callers read the phase
+  // epoch through the wrapper directly.
   phase_runtime& phase_rt() const noexcept
     requires phase_epoch_table<Table>
   {

@@ -220,17 +220,8 @@ class growable_table {
   // quiescent points (racy against a concurrent grow()).
   const inner_table& inner() const noexcept { return *cur(); }
 
-  // The *current* incarnation's distribution block. Growth replaces the
-  // inner table, so a registered growable table's per-table histograms
-  // cover the incarnation live at sample time; samples recorded by
-  // superseded incarnations stay in the global graveyard totals
-  // (obs::table_hist_totals), which remain exact.
-  obs::table_hists& hists() const noexcept {
-    reclaim::op_guard qp;
-    return cur()->hists();
-  }
-
-  // The current incarnation's phase word (same caveat as hists()).
+  // The current incarnation's phase word. Growth replaces the inner table,
+  // so this covers the incarnation live at the call.
   phase_runtime& phase_rt() const noexcept { return cur()->phase_rt(); }
 
   // Phase-capability tokens (utils/phase_caps.h): the static half of the

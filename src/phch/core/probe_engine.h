@@ -518,8 +518,8 @@ class probe_engine {
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
 
   // The table's distribution block (probe depth, sampled op latency). The
-  // batch engines record pipelined finds here; the registry (obs/registry.h)
-  // exposes it per named table. Zero-size when telemetry is compiled out.
+  // batch engines record pipelined finds here; its totals survive the table
+  // in obs::table_hist_totals. Zero-size when telemetry is compiled out.
   obs::table_hists& hists() const noexcept { return hists_; }
 
   // Batch-engine phase hooks: one scope spanning a whole pipelined block

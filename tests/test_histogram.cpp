@@ -1,6 +1,6 @@
 // Histogram plane (src/phch/obs/histogram.h): log-linear bucket math,
 // snapshot merge/quantile behavior, the per-table live-list + graveyard
-// ledger, the registry, and the compiled-out contract. The concurrent
+// ledger, and the compiled-out contract. The concurrent
 // record-while-drain hammer runs under the TSan CI job.
 //
 // This file compiles and passes in both build modes: the bucket math is
@@ -16,7 +16,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/histogram.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/parallel_for.h"
@@ -154,10 +153,6 @@ TEST(HistogramOff, LayerIsCompiledOut) {
   EXPECT_EQ(obs::hist_totals(obs::global_hist::room_wait_ns).count, 0u);
   EXPECT_EQ(obs::table_hist_totals(obs::table_hist::probe_depth).count, 0u);
   EXPECT_EQ(obs::now_if_enabled(), 0u);
-  // Registry is inert too.
-  deterministic_table<> t(64);
-  [[maybe_unused]] const obs::scoped_registration reg("off", t);
-  EXPECT_TRUE(obs::snapshot_tables().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -274,23 +269,6 @@ TEST_F(HistogramOn, DisabledRecordsNothing) {
   EXPECT_EQ(h.snapshot(obs::table_hist::probe_depth).count, 0u);
   EXPECT_EQ(obs::hist_totals(obs::global_hist::room_wait_ns).count, 0u);
   obs::set_enabled(true);
-}
-
-TEST_F(HistogramOn, RegistrySnapshotsRegisteredTables) {
-  deterministic_table<> t(256);
-  for (std::uint64_t v = 1; v <= 10; ++v) t.insert(v);
-  {
-    const obs::scoped_registration reg("reg-test", t);
-    const auto tables = obs::snapshot_tables();
-    ASSERT_EQ(tables.size(), 1u);
-    EXPECT_EQ(tables[0].name, "reg-test");
-    EXPECT_EQ(tables[0].capacity, 256u);
-    EXPECT_TRUE(tables[0].has_size);
-    EXPECT_EQ(tables[0].size, 10u);
-    EXPECT_TRUE(tables[0].has_hists);
-    EXPECT_EQ(tables[0].probe_depth.count, 10u);
-  }  // scoped_registration unregisters
-  EXPECT_TRUE(obs::snapshot_tables().empty());
 }
 
 // The TSan-job hammer: all workers record into one striped histogram while

@@ -30,8 +30,8 @@
 //
 // -table swaps the backend: the same identities must hold for every table
 // in the unified stack, so each reference check is written once against the
-// concepts layer and instantiated per family. The workload drivers
-// themselves are shared with phch_monitor (tools/trace_workloads.h).
+// concepts layer and instantiated per family. The workload drivers live in
+// tools/trace_workloads.h.
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>

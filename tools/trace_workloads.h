@@ -1,14 +1,11 @@
-// Shared workload drivers for the telemetry tools. phch_trace (counter and
-// ledger validation + one-shot export) and phch_monitor (live /metrics
-// endpoint) run the same dedup / BFS / mixed workloads over the same table
-// families; this header is the single definition of both, so the reference
-// identities the tools check are identities of *one* workload, not of two
-// near-copies that can drift apart.
+// Workload drivers for phch_trace's counter and ledger validation: the
+// dedup / BFS / mixed workloads over every table family selectable with
+// -table.
 //
 // The drivers run the workload and return the reference quantities the
 // counter checks need (output size, reached vertices, find hits...). The
-// checks themselves stay in the tools: phch_trace fails the process on a
-// mismatch, phch_monitor only needs the workload's side effects.
+// checks themselves stay in phch_trace, which fails the process on a
+// mismatch.
 #pragma once
 
 #include <cstddef>
@@ -115,15 +112,13 @@ struct mixed_result {
 };
 
 // One insert / find / erase cycle on a caller-owned table: insert all keys,
-// find all keys, erase the first erase_count. With erase_count == n the
-// table returns to empty, so phch_monitor can loop this on one persistent
-// (registered) table indefinitely; phch_trace erases half and checks the
-// remainder against approx_size(). Phases are bracketed by marks, so each
-// cycle contributes one quiescent-point snapshot per boundary.
+// find all keys, erase the first half. phch_trace checks the remainder
+// against approx_size(). Phases are bracketed by marks, so each cycle
+// contributes one quiescent-point snapshot per boundary.
 template <typename Table>
-mixed_result mixed_cycle(Table& t, const std::vector<std::uint64_t>& keys,
-                         std::size_t erase_count) {
+mixed_result mixed_cycle(Table& t, const std::vector<std::uint64_t>& keys) {
   using traits = typename Table::traits;
+  const std::size_t erase_count = keys.size() / 2;
   obs::mark("mixed/start");
   insert_batch(t, keys);
   obs::mark("mixed/inserted");
@@ -145,7 +140,7 @@ template <typename Family>
 mixed_result mixed_workload(std::size_t n) {
   typename Family::template table<int_entry<>> t(Family::cap_mult *
                                                  round_up_pow2(2 * n));
-  return mixed_cycle(t, distinct_keys(n), n / 2);
+  return mixed_cycle(t, distinct_keys(n));
 }
 
 }  // namespace phch::tools
